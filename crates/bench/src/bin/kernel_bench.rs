@@ -24,6 +24,22 @@
 //! Emits machine-readable rows through the bench report machinery: run
 //! with `SARN_REPORT_JSONL=BENCH_7.json` to produce the committed CI
 //! artifact. The process-global knob is restored to `reference` on exit.
+//!
+//! Every epoch row carries the segment count and the host stamp (`nproc`,
+//! `git describe --always --dirty`, build profile). When the report file
+//! already holds epoch rows from other network sizes, the train leg also
+//! emits a `kernel_epoch_fit` row per mode: the least-squares growth
+//! exponent of seconds per epoch in segments, over every size recorded so
+//! far, next to the exponent of the whole-graph trainer's epochs. Running
+//! the train leg at `SARN_NET_SCALE` 1, 2 and 4 into one file yields the
+//! scaling artifact:
+//!
+//! ```sh
+//! for s in 1.0 2.0 4.0; do
+//!   SARN_NET_SCALE=$s SARN_EPOCHS=2 SARN_KERNEL_BENCH_LEGS=train \
+//!     SARN_REPORT_JSONL=BENCH_12.json cargo run --release -p sarn-bench --bin kernel_bench
+//! done
+//! ```
 
 use std::time::{Duration, Instant};
 
@@ -61,6 +77,65 @@ fn leg_enabled(name: &str) -> bool {
         Ok(v) if !v.trim().is_empty() => v.split(',').any(|l| l.trim() == name),
         _ => true,
     }
+}
+
+/// Seconds per epoch of the whole-graph trainer (every batch encoded
+/// over all nodes on both branches), single-thread Fast mode on a 2-core
+/// host, by segment count: the baseline the fitted exponent is read
+/// against.
+const WHOLE_GRAPH_EPOCHS: [(f64, f64); 3] = [(800.0, 0.67), (3100.0, 8.7), (8900.0, 80.0)];
+
+/// Least-squares slope of `ln y` on `ln x`.
+fn growth_exponent(points: &[(f64, f64)]) -> f64 {
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let n = logs.len() as f64;
+    let (mx, my) = (
+        logs.iter().map(|p| p.0).sum::<f64>() / n,
+        logs.iter().map(|p| p.1).sum::<f64>() / n,
+    );
+    let sxy: f64 = logs.iter().map(|&(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = logs.iter().map(|&(x, _)| (x - mx) * (x - mx)).sum();
+    sxy / sxx
+}
+
+/// `(segments, s_per_epoch)` of every `kernel_epoch` row of `mode` in the
+/// JSONL report file, earlier runs' rows included.
+fn recorded_epochs(path: &str, mode: &str) -> Vec<(f64, f64)> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let cell = |line: &str, key: &str| -> Option<String> {
+        let tag = format!("\"{key}\":\"");
+        let start = line.find(&tag)? + tag.len();
+        Some(line[start..].split('"').next()?.to_string())
+    };
+    text.lines()
+        .filter(|l| l.contains("\"table\":\"kernel_epoch\""))
+        .filter(|l| cell(l, "mode").as_deref() == Some(mode))
+        .filter_map(|l| {
+            Some((
+                cell(l, "segments")?.parse().ok()?,
+                cell(l, "s_per_epoch")?.parse().ok()?,
+            ))
+        })
+        .collect()
+}
+
+/// `nproc`, `git describe --always --dirty` (or `none`), and the build
+/// profile, stamped on every epoch row.
+fn host_stamp() -> [String; 3] {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "none".to_string());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    [nproc.to_string(), commit, profile.to_string()]
 }
 
 /// Process peak RSS in MB, or a dash where procfs is unavailable.
@@ -109,8 +184,19 @@ fn main() {
     if leg_enabled("train") {
         let mut epoch_table = Table::new(
             "kernel_epoch",
-            &["mode", "threads", "epochs", "total_s", "s_per_epoch"],
+            &[
+                "mode",
+                "segments",
+                "threads",
+                "epochs",
+                "total_s",
+                "s_per_epoch",
+                "nproc",
+                "commit",
+                "profile",
+            ],
         );
+        let [nproc, commit, profile] = host_stamp();
         for mode in modes {
             let mut cfg = scale.sarn_config_for(&net, 1).with_reduction_order(mode);
             cfg.patience = u32::MAX; // time every epoch, no early stop
@@ -126,16 +212,57 @@ fn main() {
             let epochs = trained.epochs_run.max(1);
             epoch_table.row(vec![
                 mode.label().to_string(),
+                net.num_segments().to_string(),
                 cfg.num_threads.to_string(),
                 epochs.to_string(),
                 format!("{total:.3}"),
                 format!("{:.4}", total / epochs as f64),
+                nproc.clone(),
+                commit.clone(),
+                profile.clone(),
             ]);
             if mode == ReductionOrder::Reference {
                 artifact = Some(trained.embeddings);
             }
         }
         epoch_table.print();
+        if let Ok(path) = std::env::var("SARN_REPORT_JSONL") {
+            let mut fit_table = Table::new(
+                "kernel_epoch_fit",
+                &[
+                    "mode",
+                    "sizes",
+                    "segments",
+                    "exponent",
+                    "whole_graph_exponent",
+                ],
+            );
+            let mut fitted = false;
+            for mode in modes {
+                let points = recorded_epochs(&path, mode.label());
+                let mut sizes: Vec<u64> = points.iter().map(|p| p.0 as u64).collect();
+                sizes.sort_unstable();
+                sizes.dedup();
+                if sizes.len() < 2 {
+                    continue;
+                }
+                fit_table.row(vec![
+                    mode.label().to_string(),
+                    sizes.len().to_string(),
+                    sizes
+                        .iter()
+                        .map(u64::to_string)
+                        .collect::<Vec<_>>()
+                        .join("/"),
+                    format!("{:.2}", growth_exponent(&points)),
+                    format!("{:.2}", growth_exponent(&WHOLE_GRAPH_EPOCHS)),
+                ]);
+                fitted = true;
+            }
+            if fitted {
+                fit_table.print();
+            }
+        }
     }
 
     if !leg_enabled("knn") {

@@ -46,7 +46,7 @@ pub use similarity::{
     join_cell_side_m, pairwise_similarity, SpatialIndex, SpatialJoin, SpatialSimilarity,
     SpatialSimilarityConfig,
 };
-pub use train::{train, try_train, warm_start_apply, zero_grads_except, SarnTrained};
+pub use train::{train, train_step, try_train, warm_start_apply, zero_grads_except, SarnTrained};
 pub use watchdog::{
     embedding_defect, DivergenceReport, EmbeddingDefect, FaultKind, FaultSpec, HealthViolation,
     RecoveryEvent, TrainError, Watchdog, WatchdogConfig,

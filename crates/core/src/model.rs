@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sarn_roadnet::RoadNetwork;
-use sarn_tensor::layers::{Activation, EdgeIndex, Ffn, GatEncoder};
+use sarn_tensor::layers::{Activation, EdgeIndex, Ffn, GatEncoder, InAdjacency};
 use sarn_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
 use crate::config::SarnConfig;
@@ -70,6 +70,27 @@ impl SarnModel {
     pub fn encode(&self, g: &Graph, store: &ParamStore, edges: &EdgeIndex) -> Var {
         let x = self.femb.forward(g, store, &self.feats);
         self.encoder.forward(g, store, x, edges)
+    }
+
+    /// Records the encoder forward pass for the `batch` rows of `H` only,
+    /// in batch order: the encoder runs over the batch's layer-wise
+    /// receptive field in `view` (see [`InAdjacency::field`]) and the
+    /// feature lookup covers only its input ball. The rows, and every
+    /// parameter gradient a loss on them produces, equal those of
+    /// [`SarnModel::encode`] followed by a gather of `batch`, bit for bit.
+    pub fn encode_batch(
+        &self,
+        g: &Graph,
+        store: &ParamStore,
+        view: &InAdjacency,
+        batch: &[usize],
+    ) -> Var {
+        let field = view.field(batch, self.encoder.n_layers());
+        let x = self
+            .femb
+            .forward_rows(g, store, &self.feats, field.input_nodes());
+        let h = self.encoder.forward_field(g, store, x, &field);
+        g.gather_rows(h, field.target_rows())
     }
 
     /// Records the projection `Z = P(H)` on a tape.

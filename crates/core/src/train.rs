@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use sarn_roadnet::RoadNetwork;
-use sarn_tensor::layers::EdgeIndex;
+use sarn_tensor::layers::{EdgeIndex, InAdjacency};
 use sarn_tensor::optim::{Adam, CosineAnnealing, EarlyStopping};
 use sarn_tensor::{Graph, ParamStore, Tensor};
 
@@ -272,7 +272,10 @@ pub fn try_train(net: &RoadNetwork, cfg: &SarnConfig) -> Result<SarnTrained, Tra
             )
         };
         let edges_removed = 2 * full_edge_count - view1.num_edges() - view2.num_edges();
-        let (view1, view2) = (view1.edge_index(), view2.edge_index());
+        let (view1, view2) = (
+            InAdjacency::new(&view1.edge_index()),
+            InAdjacency::new(&view2.edge_index()),
+        );
         order.shuffle(&mut rng);
 
         let mut epoch_loss = 0.0;
@@ -672,9 +675,34 @@ fn restore_state(
     Ok(())
 }
 
+/// One mini-batch step of [`train`] without a watchdog: forward both
+/// branches over the batch's receptive fields in `view1` (query) and
+/// `view2` (momentum), apply the configured loss, take the Adam step,
+/// momentum-update, and refresh the queues. Returns the batch loss; the
+/// query store keeps the step's gradients.
+pub fn train_step(
+    model: &mut SarnModel,
+    cfg: &SarnConfig,
+    view1: &InAdjacency,
+    view2: &InAdjacency,
+    batch: &[usize],
+    opt: &mut Adam,
+    queues: Option<&mut CellQueues>,
+) -> f32 {
+    train_batch(
+        model, cfg, view1, view2, batch, opt, queues, None, None, 0, 0,
+    )
+    .expect("health violations are only raised by a watchdog")
+}
+
 /// One mini-batch step: forward both branches, build candidate sets, apply
 /// the two-level (or plain) InfoNCE loss, update the query branch, momentum-
 /// update the other, and refresh the queues (Algorithm 1 lines 5–15).
+///
+/// Both branches encode only the batch's layer-wise receptive field
+/// ([`SarnModel::encode_batch`]), and the momentum branch projects only the
+/// batch rows; the loss, gradients and updates equal those of the
+/// whole-graph passes bit for bit (DESIGN.md §17).
 ///
 /// With a watchdog present, the health probe runs after the backward pass
 /// and **before** the optimizer step — a sick gradient is caught within the
@@ -685,8 +713,8 @@ fn restore_state(
 fn train_batch(
     model: &mut SarnModel,
     cfg: &SarnConfig,
-    view1: &EdgeIndex,
-    view2: &EdgeIndex,
+    view1: &InAdjacency,
+    view2: &InAdjacency,
     batch: &[usize],
     opt: &mut Adam,
     queues: Option<&mut CellQueues>,
@@ -699,17 +727,22 @@ fn train_batch(
     // query branch, per MoCo). Projections are L2-normalized so the
     // dot-product similarity at tau = 0.05 operates on the unit sphere
     // (the MoCo convention the paper builds on).
-    let mut z_prime_full = model.embed_projected_detached(&model.store_momentum, view2);
+    let mut z_prime_batch = {
+        let g = Graph::new();
+        let h = model.encode_batch(&g, &model.store_momentum, view2, batch);
+        g.value(model.project(&g, &model.store_momentum, h))
+    };
     if cfg.loss_similarity == LossSimilarity::Cosine {
-        normalize_rows(&mut z_prime_full);
+        normalize_rows(&mut z_prime_batch);
     }
-    let z_prime: Vec<&[f32]> = batch.iter().map(|&i| z_prime_full.row_slice(i)).collect();
+    let z_prime: Vec<&[f32]> = (0..batch.len())
+        .map(|r| z_prime_batch.row_slice(r))
+        .collect();
 
     // Query branch on view 1.
     model.store.zero_grads();
     let g = Graph::new();
-    let h = model.encode(&g, &model.store, view1);
-    let h_batch = g.gather_rows(h, batch);
+    let h_batch = model.encode_batch(&g, &model.store, view1, batch);
     let z = model.project(&g, &model.store, h_batch);
     let z = if cfg.loss_similarity == LossSimilarity::Cosine {
         g.l2_normalize_rows(z)

@@ -37,7 +37,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker, Transition};
@@ -45,13 +45,9 @@ use crate::config::{LoadFault, RouterConfig};
 use crate::deadline::Deadline;
 use crate::error::ServeError;
 use crate::shard::ShardedStore;
-use crate::store::{top_k, EmbeddingStore, HealthReport, IndexState, ServeState, ShardHealth};
-
-/// Recovers a poisoned mutex (same contract as the store's: everything
-/// behind these locks is coherent under replacement).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use crate::store::{
+    lock_recovering, top_k, EmbeddingStore, HealthReport, IndexState, ServeState, ShardHealth,
+};
 
 /// One fan-out leg: the shard runtime plus, on the approximate path,
 /// the local rows it scores (`None` = full scan).

@@ -344,10 +344,10 @@ struct ReloadLog {
     last_error: Option<String>,
 }
 
-/// Recovers a poisoned mutex: the store's invariants are all on atomics
-/// or behind complete replacement (generation swap), so the data behind a
-/// poisoned lock is still coherent and serving must continue.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Recovers a poisoned mutex: the store's and the router's invariants are
+/// all on atomics or behind complete replacement (generation swap), so the
+/// data behind a poisoned lock is still coherent and serving must continue.
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -1,6 +1,16 @@
 //! Graph attention network (GAT) layers (Velickovic et al., ICLR 2018),
 //! implemented sparsely over an edge list so memory scales with the number
 //! of edges rather than `n^2`.
+//!
+//! A layer runs either over a whole [`EdgeIndex`] (every node in, every
+//! node out) or over one layer of a [`ReceptiveField`]: the rows and edges
+//! an `L`-layer encoder needs to produce a set of target nodes. Layer `l`
+//! of such a plan evaluates only the nodes within `L - l` hops of the
+//! targets, and only their in-edges. Every pruned node list is ascending
+//! and every pruned edge list is the full list filtered in its own order,
+//! so each output row and each backward sum visits the same nonzero terms
+//! in the same order as the whole-graph pass; the terms it drops are
+//! exact zeros (DESIGN.md §17).
 
 use std::rc::Rc;
 
@@ -54,6 +64,146 @@ impl EdgeIndex {
     /// Number of edges (including self-loops).
     pub fn num_edges(&self) -> usize {
         self.center.len()
+    }
+}
+
+/// The in-edges of every node of an [`EdgeIndex`], each node's edge ids
+/// ascending. Built once per graph view; [`InAdjacency::field`] then plans
+/// a batch's receptive field without scanning the whole edge list.
+#[derive(Debug)]
+pub struct InAdjacency {
+    edges: EdgeIndex,
+    /// `edge_ids[start[c]..start[c + 1]]` are the edges into node `c`.
+    start: Vec<usize>,
+    edge_ids: Vec<usize>,
+}
+
+impl InAdjacency {
+    /// Groups the edges of `edges` by center node (a stable counting sort,
+    /// so each node's edge ids stay ascending).
+    pub fn new(edges: &EdgeIndex) -> Self {
+        let mut start = vec![0usize; edges.n + 1];
+        for &c in edges.center.iter() {
+            start[c + 1] += 1;
+        }
+        for c in 0..edges.n {
+            start[c + 1] += start[c];
+        }
+        let mut fill = start.clone();
+        let mut edge_ids = vec![0usize; edges.num_edges()];
+        for (e, &c) in edges.center.iter().enumerate() {
+            edge_ids[fill[c]] = e;
+            fill[c] += 1;
+        }
+        Self {
+            edges: edges.clone(),
+            start,
+            edge_ids,
+        }
+    }
+
+    fn in_edges(&self, c: usize) -> &[usize] {
+        &self.edge_ids[self.start[c]..self.start[c + 1]]
+    }
+
+    /// Plans the rows and edges each of `n_layers` layers must evaluate so
+    /// that the last layer yields the rows of `targets` (any order,
+    /// repeats allowed).
+    pub fn field(&self, targets: &[usize], n_layers: usize) -> ReceptiveField {
+        // nodes[l] holds layer l's output rows; nodes[0] is the input ball.
+        let mut nodes = vec![sorted_unique(targets.to_vec())];
+        for _ in 0..n_layers {
+            let outer = &nodes[nodes.len() - 1];
+            let mut ball = outer.clone();
+            for &c in outer {
+                ball.extend(self.in_edges(c).iter().map(|&e| self.edges.neighbor[e]));
+            }
+            nodes.push(sorted_unique(ball));
+        }
+        nodes.reverse();
+        let layers = nodes
+            .windows(2)
+            .map(|w| {
+                let (inputs, outputs) = (&w[0], &w[1]);
+                // The full edge list filtered in its own order (not in
+                // grouped-by-center order), which keeps every scatter's
+                // accumulation order.
+                let mut ids: Vec<usize> = outputs
+                    .iter()
+                    .flat_map(|&c| self.in_edges(c).iter().copied())
+                    .collect();
+                ids.sort_unstable();
+                let rows_in = |nodes: &[usize], of: &[usize]| -> Vec<usize> {
+                    ids.iter().map(|&e| row_of(nodes, of[e])).collect()
+                };
+                LayerEdges {
+                    center: Rc::new(rows_in(inputs, &self.edges.center)),
+                    neighbor: Rc::new(rows_in(inputs, &self.edges.neighbor)),
+                    seg: Rc::new(rows_in(outputs, &self.edges.center)),
+                    n_out: outputs.len(),
+                }
+            })
+            .collect();
+        let target_rows = targets
+            .iter()
+            .map(|&t| row_of(&nodes[n_layers], t))
+            .collect();
+        ReceptiveField {
+            nodes,
+            layers,
+            target_rows,
+        }
+    }
+}
+
+fn sorted_unique(mut v: Vec<usize>) -> Vec<usize> {
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Position of `id` in the ascending list `nodes`, which holds it by
+/// construction of the plan.
+fn row_of(nodes: &[usize], id: usize) -> usize {
+    nodes
+        .binary_search(&id)
+        .expect("receptive-field plan: every referenced node is in its layer's row set")
+}
+
+/// The edges one GAT layer evaluates, with endpoints as row numbers: the
+/// center and neighbor of edge `e` index the layer's input rows, `seg[e]`
+/// its output rows. Over a whole [`EdgeIndex`] both row sets are all nodes.
+struct LayerEdges {
+    center: Rc<Vec<usize>>,
+    neighbor: Rc<Vec<usize>>,
+    seg: Rc<Vec<usize>>,
+    n_out: usize,
+}
+
+/// The layer-wise receptive field of a set of target nodes under an
+/// `L`-layer encoder (see [`InAdjacency::field`]).
+pub struct ReceptiveField {
+    nodes: Vec<Vec<usize>>,
+    layers: Vec<LayerEdges>,
+    target_rows: Vec<usize>,
+}
+
+impl ReceptiveField {
+    /// Ascending node ids whose input features the first layer reads (the
+    /// `L`-hop ball around the targets).
+    pub fn input_nodes(&self) -> &[usize] {
+        &self.nodes[0]
+    }
+
+    /// Ascending node ids of layer `l`'s output rows (`l` in `1..=L`).
+    pub fn layer_nodes(&self, l: usize) -> &[usize] {
+        &self.nodes[l]
+    }
+
+    /// For each requested target, in request order, its row in the last
+    /// layer's output.
+    pub fn target_rows(&self) -> &[usize] {
+        &self.target_rows
     }
 }
 
@@ -139,24 +289,42 @@ impl GatLayer {
         edges: &EdgeIndex,
         elu_alpha: Option<f32>,
     ) -> Var {
-        let center_idx: &[usize] = &edges.center;
-        let neighbor_idx: &[usize] = &edges.neighbor;
+        let whole = LayerEdges {
+            center: Rc::clone(&edges.center),
+            neighbor: Rc::clone(&edges.neighbor),
+            seg: Rc::clone(&edges.center),
+            n_out: edges.n,
+        };
+        self.forward_on(g, store, x, &whole, elu_alpha)
+    }
+
+    /// The layer over an explicit edge set: `x` holds the input rows the
+    /// edges' endpoints index, the result the `edges.n_out` output rows.
+    fn forward_on(
+        &self,
+        g: &Graph,
+        store: &ParamStore,
+        x: Var,
+        edges: &LayerEdges,
+        elu_alpha: Option<f32>,
+    ) -> Var {
+        let (seg, n_out) = (&edges.seg, edges.n_out);
         let mut outs = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
             let w = g.param(store, head.w);
             let a = g.param(store, head.a);
             let wx = g.matmul(x, w);
-            let hc = g.gather_rows(wx, center_idx);
-            let hn = g.gather_rows(wx, neighbor_idx);
+            let hc = g.gather_rows(wx, &edges.center);
+            let hn = g.gather_rows(wx, &edges.neighbor);
             let cat = g.concat_cols(&[hc, hn]);
             let scores = g.matmul(cat, a);
             let scores = g.leaky_relu(scores, ATTN_LEAKY_SLOPE);
-            let alpha = g.segment_softmax(scores, Rc::clone(&edges.center), edges.n);
+            let alpha = g.segment_softmax(scores, Rc::clone(seg), n_out);
             let msg = match (self.concat, elu_alpha) {
                 (true, Some(al)) => {
-                    g.segment_weighted_sum_elu(alpha, hn, Rc::clone(&edges.center), edges.n, al)
+                    g.segment_weighted_sum_elu(alpha, hn, Rc::clone(seg), n_out, al)
                 }
-                _ => g.segment_weighted_sum(alpha, hn, Rc::clone(&edges.center), edges.n),
+                _ => g.segment_weighted_sum(alpha, hn, Rc::clone(seg), n_out),
             };
             outs.push(msg);
         }
@@ -272,6 +440,32 @@ impl GatEncoder {
         }
         h
     }
+
+    /// Records the encoder over a receptive field planned for this
+    /// encoder's depth: `x` holds the features of
+    /// [`ReceptiveField::input_nodes`], and the result the rows of
+    /// [`ReceptiveField::layer_nodes`] at the last layer. Each of those
+    /// rows, and every parameter gradient a loss on them produces, equals
+    /// the whole-graph [`GatEncoder::forward`] bit for bit.
+    pub fn forward_field(
+        &self,
+        g: &Graph,
+        store: &ParamStore,
+        x: Var,
+        field: &ReceptiveField,
+    ) -> Var {
+        assert_eq!(
+            field.layers.len(),
+            self.layers.len(),
+            "receptive field planned for a different depth"
+        );
+        let mut h = x;
+        for (l, (layer, edges)) in self.layers.iter().zip(&field.layers).enumerate() {
+            let hidden = l + 1 < self.layers.len();
+            h = layer.forward_on(g, store, h, edges, hidden.then_some(1.0));
+        }
+        h
+    }
 }
 
 #[cfg(test)]
@@ -339,6 +533,30 @@ mod tests {
         for i in 0..4 {
             for c in 0..3 {
                 assert!((out.at(i, c) - wx.at(0, c)).abs() < 1e-4);
+            }
+        }
+    }
+
+    #[test]
+    fn field_prunes_by_hops_and_matches_the_whole_graph_rows() {
+        let edges = line_graph(7);
+        let field = InAdjacency::new(&edges).field(&[3, 2, 3], 2);
+        assert_eq!(field.input_nodes(), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(field.layer_nodes(1), &[1, 2, 3, 4]);
+        assert_eq!(field.layer_nodes(2), &[2, 3]);
+        assert_eq!(field.target_rows(), &[1, 0, 1]);
+
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(4);
+        let enc = GatEncoder::new(&mut store, &mut rng, "enc", 3, 4, 2, 2);
+        let x = crate::init::normal(&mut rng, 7, 3, 1.0);
+        let g = Graph::new();
+        let whole = g.value(enc.forward(&g, &store, g.input(x.clone()), &edges));
+        let xs = g.input(x.gather_rows(field.input_nodes()));
+        let pruned = g.value(enc.forward_field(&g, &store, xs, &field));
+        for (r, &node) in field.layer_nodes(2).iter().enumerate() {
+            for (a, b) in pruned.row_slice(r).iter().zip(whole.row_slice(node)) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

@@ -10,7 +10,7 @@
 //! require a typed [`IoError`] every time.
 
 use proptest::prelude::*;
-use sarn_tensor::io::IoError;
+use sarn_tensor::io::{write_tensor_to, IoError};
 use sarn_tensor::{Tensor, TensorExpectation};
 
 const ROWS: usize = 17;
@@ -26,10 +26,10 @@ fn artifact_bytes() -> Vec<u8> {
         COLS,
         (0..ROWS * COLS).map(|i| (i as f32).sin()).collect(),
     );
-    let p = std::env::temp_dir().join(format!("sarn_io_rob_src_{}", std::process::id()));
-    t.save(&p).expect("writing the pristine artifact");
-    let bytes = std::fs::read(&p).expect("reading the pristine artifact back");
-    std::fs::remove_file(&p).ok();
+    // Built in memory, byte for byte what `Tensor::save` writes: the
+    // fixture needs no file, so parallel tests share nothing on disk.
+    let mut bytes = b"SRT1".to_vec();
+    write_tensor_to(&mut bytes, &t).expect("encoding the pristine artifact");
     assert_eq!(bytes.len(), HEADER_LEN + ROWS * COLS * 4);
     bytes
 }

@@ -39,6 +39,14 @@ cargo clippy -p sarn-core -p sarn-tensor -p sarn-par -p sarn-geo -p sarn-roadnet
 step "cargo test"
 cargo test -q --workspace
 
+# Suites that write temp files run five times back to back: a fixture
+# path shared between parallel tests fails some runs, not every run.
+for i in 1 2 3 4 5; do
+  step "temp-file suites, repeat $i of 5"
+  cargo test -q -p sarn-tensor --test io_robustness
+  cargo test -q -p sarn-ann
+done
+
 # The equivalence tests pin num_threads explicitly except for the
 # auto-detection path (num_threads = 0), which resolves through
 # RAYON_NUM_THREADS — exercise it at several settings.
@@ -50,12 +58,17 @@ done
 # Fast <-> Reference kernel equivalence: the property/golden suites and
 # the end-to-end reduction-order determinism contract, in both modes
 # (the suites flip the knob internally; the env var seeds the default).
+# The receptive-field suite runs in release: the pruned training step
+# against its whole-graph oracle, bit for bit, in both reduction orders at
+# 1 and 4 threads (it pins both knobs per case itself).
 for order in reference fast; do
   step "kernel equivalence (SARN_REDUCTION_ORDER=$order)"
   SARN_REDUCTION_ORDER=$order cargo test -q -p sarn-tensor \
     --test kernel_equivalence --test kernel_golden
   SARN_REDUCTION_ORDER=$order cargo test -q -p sarn-sys-tests \
     --test kernel_reduction_order
+  SARN_REDUCTION_ORDER=$order cargo test -q --release -p sarn-sys-tests \
+    --test receptive_field_equivalence
 done
 
 # Spatial-join equivalence: the grid join must reproduce the all-pairs

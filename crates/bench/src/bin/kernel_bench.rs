@@ -12,9 +12,9 @@
 //!    the table reports total wall-clock and seconds per epoch for
 //!    `reference` (bit-exact scalar kernels) vs `fast` (blocked /
 //!    lane-accumulator kernels).
-//! 3. **Serve k-NN latency** — exact and grid-approximate k-NN p50/p99
-//!    against the same published artifact, per mode; the cosine scorer
-//!    dispatches on the knob at query time.
+//! 3. **Serve k-NN latency** — exact k-NN p50/p99 against the same
+//!    published artifact, per mode; the cosine scorer dispatches on the
+//!    knob at query time.
 //!
 //! `SARN_KERNEL_BENCH_LEGS` (comma list of `join`, `train`, `knn`;
 //! default all) restricts the run — CI uses `join` alone for the
@@ -41,20 +41,17 @@
 //! done
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use sarn_bench::{ExperimentScale, Table};
+use sarn_bench::{leg_enabled, peak_rss_mb, percentile, ExperimentScale, Table};
 use sarn_core::{train, ReductionOrder, SpatialJoin, SpatialSimilarity};
 use sarn_roadnet::City;
 use sarn_serve::{Deadline, EmbeddingStore, ServeConfig};
 
 const KNN_REPS: usize = 200;
 const KNN_K: usize = 10;
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
+/// Which legs run: a comma list of leg names; unset or empty means all.
+const LEGS_VAR: &str = "SARN_KERNEL_BENCH_LEGS";
 
 fn time_knn(mut run: impl FnMut(usize)) -> (f64, f64) {
     let mut samples = Vec::with_capacity(KNN_REPS);
@@ -68,15 +65,6 @@ fn time_knn(mut run: impl FnMut(usize)) -> (f64, f64) {
         percentile(&samples, 0.50).as_secs_f64() * 1e6,
         percentile(&samples, 0.99).as_secs_f64() * 1e6,
     )
-}
-
-/// Which benchmark legs to run (`SARN_KERNEL_BENCH_LEGS`, comma list;
-/// unknown names are ignored, empty/unset means all).
-fn leg_enabled(name: &str) -> bool {
-    match std::env::var("SARN_KERNEL_BENCH_LEGS") {
-        Ok(v) if !v.trim().is_empty() => v.split(',').any(|l| l.trim() == name),
-        _ => true,
-    }
 }
 
 /// Seconds per epoch of the whole-graph trainer (every batch encoded
@@ -138,14 +126,6 @@ fn host_stamp() -> [String; 3] {
     [nproc.to_string(), commit, profile.to_string()]
 }
 
-/// Process peak RSS in MB, or a dash where procfs is unavailable.
-fn peak_rss_mb() -> String {
-    match sarn_obs::peak_rss_bytes() {
-        Some(bytes) => format!("{:.1}", bytes as f64 / (1024.0 * 1024.0)),
-        None => "-".to_string(),
-    }
-}
-
 fn main() {
     let scale = ExperimentScale::from_env();
     let net = scale.network(City::Chengdu);
@@ -153,7 +133,7 @@ fn main() {
 
     // Leg 0: the A^s spatial self-join, grid first so its peak-RSS row is
     // read before the all-pairs oracle can raise the high-water mark.
-    if leg_enabled("join") {
+    if leg_enabled(LEGS_VAR, "join") {
         let mut join_table = Table::new(
             "spatial_join",
             &["mode", "segments", "edges", "build_ms", "peak_rss_mb"],
@@ -181,7 +161,7 @@ fn main() {
 
     // Leg 1: full training run per mode.
     let mut artifact = None;
-    if leg_enabled("train") {
+    if leg_enabled(LEGS_VAR, "train") {
         let mut epoch_table = Table::new(
             "kernel_epoch",
             &[
@@ -265,7 +245,7 @@ fn main() {
         }
     }
 
-    if !leg_enabled("knn") {
+    if !leg_enabled(LEGS_VAR, "knn") {
         return;
     }
 
@@ -283,16 +263,7 @@ fn main() {
     store.reload(&path).expect("publishing the artifact");
     let n = net.num_segments();
 
-    let mut knn_table = Table::new(
-        "kernel_knn",
-        &[
-            "mode",
-            "exact_p50_us",
-            "exact_p99_us",
-            "approx_p50_us",
-            "approx_p99_us",
-        ],
-    );
+    let mut knn_table = Table::new("kernel_knn", &["mode", "exact_p50_us", "exact_p99_us"]);
     for mode in modes {
         sarn_par::set_reduction_order(mode);
         let (exact_p50, exact_p99) = time_knn(|i| {
@@ -300,17 +271,10 @@ fn main() {
                 .knn(i % n, KNN_K, Deadline::unbounded())
                 .expect("exact knn");
         });
-        let (approx_p50, approx_p99) = time_knn(|i| {
-            store
-                .knn_approx(i % n, KNN_K, Deadline::unbounded())
-                .expect("approx knn");
-        });
         knn_table.row(vec![
             mode.label().to_string(),
             format!("{exact_p50:.1}"),
             format!("{exact_p99:.1}"),
-            format!("{approx_p50:.1}"),
-            format!("{approx_p99:.1}"),
         ]);
     }
     sarn_par::set_reduction_order(ReductionOrder::Reference);

@@ -31,29 +31,10 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sarn_bench::Table;
+use sarn_bench::{ensure, fail, peak_rss_mb, percentile, Table};
 use sarn_geo::Point;
 use sarn_serve::{Deadline, IndexState, Router, RouterConfig, ServeConfig, ShardedStore};
 use sarn_tensor::Tensor;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("[load_gen] FAIL: {msg}");
-    std::process::exit(1);
-}
-
-fn ensure(cond: bool, msg: &str) {
-    if !cond {
-        fail(msg);
-    }
-}
-
-/// Process peak RSS in MB, or a dash where procfs is unavailable.
-fn peak_rss_mb() -> String {
-    match sarn_obs::peak_rss_bytes() {
-        Some(bytes) => format!("{:.1}", bytes as f64 / (1024.0 * 1024.0)),
-        None => "-".to_string(),
-    }
-}
 
 /// `SARN_LOADGEN_*` knob: unset/empty defaults, malformed fails loudly
 /// (same contract as the serve knobs — a typo must not silently shrink
@@ -304,14 +285,6 @@ fn open_loop(router: &Router, n: usize, cfg: &LoadCfg) -> (Vec<Duration>, u64, f
     });
     let achieved = total as f64 / start.elapsed().as_secs_f64().max(1e-9);
     (lanes.concat(), errors.load(Ordering::Relaxed), achieved)
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Recall@k of the ANN router against the scan router's exact answers,

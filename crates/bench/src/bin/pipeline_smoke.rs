@@ -27,7 +27,7 @@
 
 use std::time::{Duration, Instant};
 
-use sarn_bench::{ExperimentScale, Table};
+use sarn_bench::{ensure, fail, leg_enabled, peak_rss_mb, ExperimentScale, Table};
 use sarn_core::{SpatialJoin, SpatialSimilarity, SpatialSimilarityConfig};
 use sarn_geo::Point;
 use sarn_pipeline::{
@@ -36,34 +36,8 @@ use sarn_pipeline::{
 use sarn_roadnet::{City, HighwayClass};
 use sarn_serve::{ServeConfig, ServeState};
 
-/// Breach: report and fail the CI step.
-fn fail(msg: &str) -> ! {
-    eprintln!("[pipeline_smoke] FAIL: {msg}");
-    std::process::exit(1);
-}
-
-fn ensure(cond: bool, msg: &str) {
-    if !cond {
-        fail(msg);
-    }
-}
-
-/// Which legs to run (`SARN_PIPELINE_SMOKE_LEGS`, comma list; unknown
-/// names are ignored, empty/unset means all).
-fn leg_enabled(name: &str) -> bool {
-    match std::env::var("SARN_PIPELINE_SMOKE_LEGS") {
-        Ok(v) if !v.trim().is_empty() => v.split(',').any(|l| l.trim() == name),
-        _ => true,
-    }
-}
-
-/// Process peak RSS in MB, or a dash where procfs is unavailable.
-fn peak_rss_mb() -> String {
-    match sarn_obs::peak_rss_bytes() {
-        Some(bytes) => format!("{:.1}", bytes as f64 / (1024.0 * 1024.0)),
-        None => "-".to_string(),
-    }
-}
+/// Which legs run: a comma list of leg names; unset or empty means all.
+const LEGS_VAR: &str = "SARN_PIPELINE_SMOKE_LEGS";
 
 /// Batch `k` (1-based): two adds hanging off existing geometry, one
 /// removal, one reclass — every edit kind, deterministic anchors.
@@ -265,10 +239,10 @@ fn repair_bench(scale: &ExperimentScale) {
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    if leg_enabled("faults") {
+    if leg_enabled(LEGS_VAR, "faults") {
         fault_smoke(&scale);
     }
-    if leg_enabled("repair") {
+    if leg_enabled(LEGS_VAR, "repair") {
         repair_bench(&scale);
     }
     eprintln!("[pipeline_smoke] ok");

@@ -13,27 +13,20 @@
 //! 2. **Good reload** — a fresh artifact must flip queries atomically to
 //!    the new generation and clear the degradation.
 //! 3. **Overload burst** — saturating the admission budget must shed with
-//!    `ServeError::Overloaded`; pressure between the degrade threshold
-//!    and the ceiling must downgrade exact k-NN to the grid-approximate
-//!    path, visibly.
+//!    `ServeError::Overloaded`; once the burst drains, k-NN answers
+//!    exactly as before it.
 //!
-//! Prints lookup / exact-k-NN / approximate-k-NN latency numbers for
-//! EXPERIMENTS.md. Honors the `SARN_*` training knobs and the
+//! Prints lookup / k-NN latency numbers for EXPERIMENTS.md. Honors the `SARN_*` training knobs and the
 //! `SARN_SERVE_*` serving knobs. Exits non-zero on any contract breach or
 //! panic.
 
 use std::time::{Duration, Instant};
 
-use sarn_bench::ExperimentScale;
+use sarn_bench::{percentile, ExperimentScale};
 use sarn_core::train;
 use sarn_roadnet::City;
 use sarn_serve::{Deadline, EmbeddingStore, LoadFault, ServeConfig, ServeError, ServeState};
 use sarn_tensor::IoError;
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
 
 fn time_queries(label: &str, mut run: impl FnMut(usize)) -> (Duration, Duration) {
     const REPS: usize = 200;
@@ -82,7 +75,6 @@ fn main() {
     let baseline_knn = store
         .knn(probe, 10, Deadline::unbounded())
         .expect("baseline knn");
-    assert!(!baseline_knn.degraded);
     assert_eq!(baseline_knn.generation, 1);
 
     // Leg 2: corrupt swaps. Garbage, truncation, and injected I/O faults
@@ -155,12 +147,15 @@ fn main() {
     );
     assert_eq!(store.health().state, ServeState::Serving { generation: 3 });
 
-    // Leg 4: overload burst. Saturate the budget -> typed shed; partial
-    // pressure -> exact k-NN degrades to the grid path.
+    // Leg 4: overload burst. Saturate the budget -> typed shed; after it
+    // drains, k-NN answers as before.
     eprintln!(
         "[serve_smoke] leg 4: overload burst at max_inflight={}",
         serve_cfg.max_inflight
     );
+    let calm = store
+        .knn(probe, 10, Deadline::unbounded())
+        .expect("knn before the burst");
     let full: Vec<_> = (0..serve_cfg.max_inflight)
         .map(|i| {
             store
@@ -174,27 +169,10 @@ fn main() {
     }
     assert!(matches!(store.health().state, ServeState::Shedding { .. }));
     drop(full);
-    if serve_cfg.degrade_inflight > 0 && serve_cfg.degrade_inflight < serve_cfg.max_inflight {
-        let pressure: Vec<_> = (0..serve_cfg.degrade_inflight)
-            .map(|i| {
-                store
-                    .try_ticket()
-                    .unwrap_or_else(|e| panic!("pressure ticket {i}: {e}"))
-            })
-            .collect();
-        let degraded = store
-            .knn(probe, 10, Deadline::unbounded())
-            .expect("degraded knn under pressure");
-        assert!(
-            degraded.degraded,
-            "pressure between thresholds must degrade exact k-NN"
-        );
-        drop(pressure);
-    }
     let recovered = store
         .knn(probe, 10, Deadline::unbounded())
-        .expect("exact knn after the burst");
-    assert!(!recovered.degraded);
+        .expect("knn after the burst");
+    assert_eq!(recovered, calm, "the burst changed the k-NN answer");
 
     // Leg 5: deadlines are typed, not best-effort.
     match store.knn(probe, 10, Deadline::within(Duration::ZERO)) {
@@ -210,21 +188,15 @@ fn main() {
             .embedding(i % n, Deadline::unbounded())
             .expect("lookup");
     });
-    time_queries("exact knn (k=10)", |i| {
+    time_queries("knn (k=10)", |i| {
         store.knn(i % n, 10, Deadline::unbounded()).expect("knn");
-    });
-    time_queries("approx knn (k=10)", |i| {
-        store
-            .knn_approx(i % n, 10, Deadline::unbounded())
-            .expect("approx knn");
     });
 
     let health = store.health();
     println!(
-        "serve_smoke OK: {} served, {} shed, {} degraded, {} good / {} failed reloads, final state {:?}",
+        "serve_smoke OK: {} served, {} shed, {} good / {} failed reloads, final state {:?}",
         health.served_total,
         health.shed_total,
-        health.degraded_total,
         health.reloads_ok,
         health.reloads_failed,
         health.state

@@ -25,10 +25,12 @@
 
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod methods;
 pub mod report;
 pub mod scale;
 
+pub use harness::{ensure, fail, leg_enabled, peak_rss_mb, percentile};
 pub use methods::{
     eval_road_property, eval_road_property_frozen, eval_spd, eval_spd_frozen, eval_traj_sim,
     eval_traj_sim_frozen, memory_budget, train_embeddings, EmbedOutcome, Method,

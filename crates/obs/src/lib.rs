@@ -14,7 +14,7 @@
 //!   cheap enough for per-batch use.
 //! - **Events.** A bounded ring-buffer [`EventJournal`] of typed
 //!   structured [`Event`]s (epoch summaries, watchdog rollbacks,
-//!   checkpoint writes, reload outcomes, shed/degrade, bench rows),
+//!   checkpoint writes, reload outcomes, sheds, bench rows),
 //!   drainable to JSONL.
 //! - **Exporters.** Prometheus text exposition and a JSON snapshot,
 //!   written atomically (tmp sibling + rename — never a torn file), on

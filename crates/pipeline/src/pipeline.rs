@@ -679,6 +679,16 @@ fn export_artifact(path: &Path, embeddings: &Tensor, tear: bool) -> Result<(), P
             finite: true,
         },
     )?;
+    // `Tensor::save` only flushes its buffer: make the bytes durable
+    // before the rename can publish them.
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&tmp)
+        .and_then(|f| f.sync_all())
+        .map_err(|source| PipelineError::Io {
+            context: "syncing artifact tmp",
+            source,
+        })?;
     fs::rename(&tmp, path).map_err(|source| PipelineError::Io {
         context: "publishing artifact",
         source,

@@ -142,10 +142,6 @@ pub struct ServeConfig {
     /// Hard in-flight request ceiling: admission beyond this sheds the
     /// request with [`crate::ServeError::Overloaded`].
     pub max_inflight: usize,
-    /// Soft pressure threshold: while more than this many requests are in
-    /// flight, exact k-NN degrades to the grid-approximate path (`0`
-    /// disables degradation).
-    pub degrade_inflight: usize,
     /// Default per-request time budget (`None` = unbounded); individual
     /// requests may override it with their own [`crate::Deadline`].
     pub default_deadline: Option<Duration>,
@@ -156,11 +152,6 @@ pub struct ServeConfig {
     pub reload_backoff: Duration,
     /// Rows scanned between deadline probes inside k-NN loops.
     pub deadline_check_every: usize,
-    /// Cell side in meters of the spatial grid backing approximate k-NN.
-    pub grid_clen_m: f64,
-    /// Starting Chebyshev cell radius of the approximate candidate search
-    /// (grows until enough candidates are found).
-    pub approx_radius: usize,
     /// Staleness SLO: when the live generation's age exceeds this, the
     /// store's health degrades to [`crate::ServeState::Stale`] (queries
     /// keep being served — stale answers beat no answers — but the breach
@@ -188,13 +179,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_inflight: 64,
-            degrade_inflight: 48,
             default_deadline: None,
             reload_retries: 3,
             reload_backoff: Duration::from_millis(10),
             deadline_check_every: 256,
-            grid_clen_m: 500.0,
-            approx_radius: 1,
             max_staleness: None,
             ann_threshold: 4096,
             ann_m: 16,
@@ -208,11 +196,9 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Reads the `SARN_SERVE_*` environment knobs, falling back to the
     /// defaults: `SARN_SERVE_MAX_INFLIGHT` (>= 1),
-    /// `SARN_SERVE_DEGRADE_INFLIGHT` (`0` disables degradation),
     /// `SARN_SERVE_DEADLINE_MS` (`0` = unbounded),
     /// `SARN_SERVE_RELOAD_RETRIES` (`0` = no retries),
-    /// `SARN_SERVE_RELOAD_BACKOFF_MS` (>= 1), `SARN_SERVE_CLEN_M`
-    /// (finite, > 0), `SARN_SERVE_APPROX_RADIUS` (>= 1),
+    /// `SARN_SERVE_RELOAD_BACKOFF_MS` (>= 1),
     /// `SARN_SERVE_MAX_STALENESS_S` (`0` = no staleness SLO; fractional
     /// seconds accepted), plus the ANN knobs: `SARN_ANN_THRESHOLD`
     /// (positive row count, or `inf`/`off`/`none` to disable ANN),
@@ -227,7 +213,6 @@ impl ServeConfig {
         let max_staleness_s = env_f64_nonneg("SARN_SERVE_MAX_STALENESS_S", 0.0)?;
         Ok(Self {
             max_inflight: env_usize_min("SARN_SERVE_MAX_INFLIGHT", d.max_inflight, 1)?,
-            degrade_inflight: env_usize_min("SARN_SERVE_DEGRADE_INFLIGHT", d.degrade_inflight, 0)?,
             default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             reload_retries: env_usize_min("SARN_SERVE_RELOAD_RETRIES", d.reload_retries, 0)?,
             reload_backoff: Duration::from_millis(env_u64_min(
@@ -236,8 +221,6 @@ impl ServeConfig {
                 1,
             )?),
             deadline_check_every: d.deadline_check_every,
-            grid_clen_m: env_f64_pos("SARN_SERVE_CLEN_M", d.grid_clen_m)?,
-            approx_radius: env_usize_min("SARN_SERVE_APPROX_RADIUS", d.approx_radius, 1)?,
             max_staleness: (max_staleness_s > 0.0)
                 .then(|| Duration::from_secs_f64(max_staleness_s)),
             ann_threshold: env_ann_threshold("SARN_ANN_THRESHOLD", d.ann_threshold)?,
@@ -385,7 +368,7 @@ mod tests {
     #[test]
     fn defaults_are_coherent() {
         let d = ServeConfig::default();
-        assert!(d.degrade_inflight < d.max_inflight);
+        assert!(d.max_inflight >= 1);
         assert!(d.default_deadline.is_none());
         assert!(d.reload_backoff > Duration::ZERO);
         assert!(d.deadline_check_every > 0);
@@ -414,12 +397,9 @@ mod tests {
         let cfg = with_env(
             &[
                 ("SARN_SERVE_MAX_INFLIGHT", "8"),
-                ("SARN_SERVE_DEGRADE_INFLIGHT", "0"),
                 ("SARN_SERVE_DEADLINE_MS", "0"),
                 ("SARN_SERVE_RELOAD_RETRIES", "0"),
                 ("SARN_SERVE_RELOAD_BACKOFF_MS", "5"),
-                ("SARN_SERVE_CLEN_M", "250.5"),
-                ("SARN_SERVE_APPROX_RADIUS", "2"),
                 ("SARN_SERVE_MAX_STALENESS_S", "1.5"),
                 ("SARN_ANN_THRESHOLD", "512"),
                 ("SARN_ANN_M", "8"),
@@ -430,12 +410,9 @@ mod tests {
             || ServeConfig::from_env().expect("valid overrides"),
         );
         assert_eq!(cfg.max_inflight, 8);
-        assert_eq!(cfg.degrade_inflight, 0, "zero disables degradation");
         assert!(cfg.default_deadline.is_none(), "zero means unbounded");
         assert_eq!(cfg.reload_retries, 0);
         assert_eq!(cfg.reload_backoff, Duration::from_millis(5));
-        assert_eq!(cfg.grid_clen_m, 250.5);
-        assert_eq!(cfg.approx_radius, 2);
         assert_eq!(cfg.max_staleness, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(cfg.ann_threshold, 512);
         assert_eq!(cfg.ann_m, 8);
@@ -464,19 +441,11 @@ mod tests {
             ("SARN_SERVE_MAX_INFLIGHT", "zero"),
             ("SARN_SERVE_MAX_INFLIGHT", "0"),
             ("SARN_SERVE_MAX_INFLIGHT", "-3"),
-            ("SARN_SERVE_DEGRADE_INFLIGHT", "many"),
-            ("SARN_SERVE_DEGRADE_INFLIGHT", "-1"),
             ("SARN_SERVE_DEADLINE_MS", "fast"),
             ("SARN_SERVE_DEADLINE_MS", "-5"),
             ("SARN_SERVE_RELOAD_RETRIES", "3.5"),
             ("SARN_SERVE_RELOAD_BACKOFF_MS", "0"),
             ("SARN_SERVE_RELOAD_BACKOFF_MS", "soon"),
-            ("SARN_SERVE_CLEN_M", "0"),
-            ("SARN_SERVE_CLEN_M", "-100"),
-            ("SARN_SERVE_CLEN_M", "NaN"),
-            ("SARN_SERVE_CLEN_M", "wide"),
-            ("SARN_SERVE_APPROX_RADIUS", "0"),
-            ("SARN_SERVE_APPROX_RADIUS", "near"),
             ("SARN_SERVE_MAX_STALENESS_S", "-1"),
             ("SARN_SERVE_MAX_STALENESS_S", "inf"),
             ("SARN_SERVE_MAX_STALENESS_S", "fresh"),

@@ -50,8 +50,8 @@ pub enum ServeError {
         /// What was wrong with it.
         defect: EmbeddingDefect,
     },
-    /// The spatial grid backing approximate k-NN could not be built from
-    /// the network's bounding box and the configured cell side.
+    /// The spatial grid that partitions a sharded store could not be
+    /// built from the segment midpoints' bounding box.
     Grid(GridError),
     /// A `SARN_SERVE_*` environment knob held a malformed value — named,
     /// not silently defaulted (see [`crate::ConfigError`]).

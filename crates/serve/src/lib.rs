@@ -20,14 +20,16 @@
 //!   slow/failing I/O via [`LoadFault`] — leaves the previous generation
 //!   serving and surfaces as a typed [`ServeError`] plus a degraded
 //!   [`HealthReport`], never a panic.
-//! - **Deadline-guarded queries.** Embedding lookup, exact k-NN, and
-//!   grid-bucketed approximate k-NN (reusing [`sarn_geo::Grid`]) each
-//!   honor a per-request [`Deadline`], checked at bounded intervals inside
-//!   the scans.
+//! - **Deadline-guarded queries.** Embedding lookup and k-NN each honor a
+//!   per-request [`Deadline`], checked at bounded intervals inside the
+//!   scans and the index walk.
+//! - **One approximate k-NN path.** A generation at or above
+//!   [`ServeConfig::ann_threshold`] rows gets an HNSW index built in the
+//!   background; once it is [`IndexState::Ready`], k-NN answers from it,
+//!   and any other state falls back to the exact scan.
 //! - **Bounded admission and load shedding.** A fixed in-flight budget
-//!   sheds excess requests with [`ServeError::Overloaded`]; between the
-//!   degrade threshold and the shed ceiling, exact k-NN transparently
-//!   downgrades to the grid-approximate path and says so in the response.
+//!   sheds excess requests with [`ServeError::Overloaded`]; every request
+//!   admitted below the ceiling is answered in full.
 //! - **Staleness SLO.** With [`ServeConfig::max_staleness`] set (env:
 //!   `SARN_SERVE_MAX_STALENESS_S`), a generation that outlives its budget
 //!   turns the health report [`ServeState::Stale`] — queries keep being
@@ -45,7 +47,7 @@
 //! [`Deadline::split`] budget slices, bounded doubling-backoff retries
 //! plus one hedged duplicate against p99-slow shards, and typed
 //! [`Coverage`] reports: failed shards degrade the answer
-//! (answered / degraded-to-approx / quarantined / failed per shard)
+//! (answered / degraded-to-ANN / quarantined / failed per shard)
 //! instead of failing it, until fewer than `min_shards` contribute
 //! ([`ServeError::PartialCoverage`]). With every shard healthy the merged
 //! answer is bitwise identical to the single combined store's.

@@ -14,11 +14,10 @@
 //!    warm, an attempt that outlives `p99 × hedge_factor` gets a
 //!    duplicate fired against the same shard; first answer wins, the
 //!    straggler is abandoned (its send fails harmlessly).
-//! 4. **Degrade** — a shard whose exact leg exhausts retries walks the
-//!    degrade ladder: first the *ANN* leg (the shard's HNSW index, when
-//!    one is ready — approximate neighbors at full candidate coverage),
-//!    then the *grid-approximate* leg (grid candidates only, a few rows
-//!    instead of a scan), each reported as degraded coverage.
+//! 4. **Degrade** — a shard whose exact leg exhausts retries gets one
+//!    rescue: its *ANN* leg (the shard's HNSW index, when one is ready —
+//!    approximate neighbors at full candidate coverage), reported as
+//!    degraded coverage. A shard without a ready index fails.
 //!
 //! Shards that still fail are dropped from the answer rather than
 //! failing it: the response carries a typed [`Coverage`] report
@@ -46,12 +45,8 @@ use crate::deadline::Deadline;
 use crate::error::ServeError;
 use crate::shard::ShardedStore;
 use crate::store::{
-    lock_recovering, top_k, EmbeddingStore, HealthReport, IndexState, ServeState, ShardHealth,
+    lock_recovering, top_k, EmbeddingStore, HealthReport, IndexState, Knn, ServeState, ShardHealth,
 };
-
-/// One fan-out leg: the shard runtime plus, on the approximate path,
-/// the local rows it scores (`None` = full scan).
-type Leg = (Arc<ShardRuntime>, Option<Arc<Vec<usize>>>);
 
 /// Deterministic, test-only sabotage of one shard's *query* path — the
 /// serving analogue of [`LoadFault`], driving the chaos tests: latency
@@ -82,10 +77,8 @@ pub enum ShardOutcome {
     /// Contributed its exact leg.
     Answered,
     /// Its exact leg failed; contributed its ready HNSW index's
-    /// approximate neighbors instead (first rung of the degrade ladder).
+    /// approximate neighbors instead (the degrade ladder's one rescue).
     DegradedAnn,
-    /// Its exact leg failed; contributed grid-approximate scores instead.
-    DegradedApprox,
     /// Breaker open: routed around, not consulted.
     Quarantined,
     /// Consulted but every attempt failed; its rows are missing.
@@ -108,14 +101,14 @@ pub struct ShardCoverage {
 
 /// The typed partial-result report carried by every routed answer
 /// instead of an error: which shards answered, which degraded to the
-/// approximate leg, which were quarantined or failed outright.
+/// ANN leg, which were quarantined or failed outright.
 #[derive(Clone, Debug)]
 pub struct Coverage {
     /// Shards in the fan-out (full coverage = this many answered).
     pub total: usize,
     /// Shards that contributed rows (exact or degraded).
     pub answered: usize,
-    /// Of the answered, how many degraded to the approximate leg.
+    /// Of the answered, how many degraded to the ANN leg.
     pub degraded: usize,
     /// Per-shard outcomes, shard-id ascending.
     pub shards: Vec<ShardCoverage>,
@@ -235,6 +228,18 @@ impl ShardRuntime {
 
     fn forced_stale(&self) -> bool {
         lock_recovering(&self.fault).is_some_and(|f| f.force_stale)
+    }
+
+    /// A leg's answer with local row ids mapped back to global ids.
+    fn partial(&self, knn: Knn) -> ShardPartial {
+        ShardPartial {
+            pairs: knn
+                .neighbors
+                .iter()
+                .map(|&(l, s)| (self.globals[l], s))
+                .collect(),
+            generation: knn.generation,
+        }
     }
 }
 
@@ -583,21 +588,7 @@ impl Router {
         deadline: Deadline,
     ) -> Result<RoutedKnn, ServeError> {
         let _ticket = self.try_ticket()?;
-        self.knn_fanout(segment, k, deadline, false)
-    }
-
-    /// Approximate k-NN fan-out: candidates come from the router's global
-    /// grid (the exact expansion the single store runs), each shard
-    /// scores only its own candidate rows. Bitwise identical to
-    /// [`EmbeddingStore::knn_approx`] on a combined store when healthy.
-    pub fn knn_approx(
-        &self,
-        segment: usize,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<RoutedKnn, ServeError> {
-        let _ticket = self.try_ticket()?;
-        self.knn_fanout(segment, k, deadline, true)
+        self.knn_fanout(segment, k, deadline)
     }
 
     /// Batched fan-out, amortizing the per-request admission work: one
@@ -617,7 +608,7 @@ impl Router {
         let mut answers = Vec::with_capacity(m);
         for (i, &segment) in segments.iter().enumerate() {
             let slice = deadline.split(m - i);
-            answers.push(self.knn_fanout(segment, k, slice, false));
+            answers.push(self.knn_fanout(segment, k, slice));
         }
         Ok(answers)
     }
@@ -627,7 +618,6 @@ impl Router {
         segment: usize,
         k: usize,
         deadline: Deadline,
-        approx: bool,
     ) -> Result<RoutedKnn, ServeError> {
         let _latency = sarn_obs::span!("sarn_serve_router_knn_seconds");
         deadline.check()?;
@@ -646,39 +636,16 @@ impl Router {
         let query_norm = owner_gen.row_norm(local);
         drop(owner_gen);
 
-        // Which shards this query consults, with the rows each scores.
-        // Exact: every shard, full scan. Approx: only shards owning
-        // global-grid candidates, scoring exactly those rows.
-        let mut legs: Vec<Leg> = Vec::new();
-        if approx {
-            let candidates = self.sharded.approx_candidates(segment, k, deadline)?;
-            let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.runtimes.len()];
-            for g in candidates {
-                let (si, li) = self.sharded.locate(g)?;
-                per_shard[si].push(li);
-            }
-            for (si, locals) in per_shard.into_iter().enumerate() {
-                if !locals.is_empty() {
-                    legs.push((self.runtimes[si].clone(), Some(Arc::new(locals))));
-                }
-            }
-        } else {
-            for rt in &self.runtimes {
-                legs.push((rt.clone(), None));
-            }
-        }
-
-        let total = legs.len();
+        let total = self.runtimes.len();
         let mut merged: Vec<(usize, f32)> = Vec::new();
         let mut shards_cov: Vec<ShardCoverage> = Vec::with_capacity(total);
         let (mut answered, mut degraded) = (0usize, 0usize);
-        for (i, (rt, rows)) in legs.iter().enumerate() {
+        for (i, rt) in self.runtimes.iter().enumerate() {
             // Divide what is left of the budget among the shards still
             // waiting: early fast shards donate surplus to later ones.
             let slice = deadline.split(total - i);
             let exclude = (rt.index == owner).then_some(local);
-            let attempt =
-                self.make_attempt(rt, rows.clone(), &query, query_norm, exclude, k, slice);
+            let attempt = self.make_attempt(rt, &query, query_norm, exclude, k, slice);
             match self.query_shard(rt, &attempt, &slice) {
                 ShardResult::Answered(p) => {
                     merged.extend(p.pairs);
@@ -696,35 +663,20 @@ impl Router {
                     generation: rt.store.generation(),
                     error: None,
                 }),
-                ShardResult::Failed(e) if !approx => {
+                ShardResult::Failed(e) => {
                     // Degrade ladder: rescue this shard's contribution
-                    // with its ready ANN index first (full candidate
-                    // coverage, approximate ranking), then the cheap
-                    // grid-approximate leg, before giving up on it.
+                    // with its ready ANN index (full candidate coverage,
+                    // approximate ranking) before giving up on it.
                     sarn_obs::counter("sarn_serve_shard_failed_total").inc();
-                    let rescue = self
-                        .ann_leg(rt, &query, query_norm, exclude, k, &deadline)
-                        .map(|p| (p, ShardOutcome::DegradedAnn))
-                        .or_else(|| {
-                            self.degraded_leg(
-                                rt, segment, &query, query_norm, exclude, k, &deadline,
-                            )
-                            .map(|p| (p, ShardOutcome::DegradedApprox))
-                        });
-                    match rescue {
-                        Some((p, outcome)) => {
+                    match self.ann_leg(rt, &query, query_norm, exclude, k, &deadline) {
+                        Some(p) => {
                             merged.extend(p.pairs);
                             answered += 1;
                             degraded += 1;
-                            let rung = if outcome == ShardOutcome::DegradedAnn {
-                                "sarn_serve_router_ann_rescue_total"
-                            } else {
-                                "sarn_serve_router_degraded_total"
-                            };
-                            sarn_obs::counter(rung).inc();
+                            sarn_obs::counter("sarn_serve_router_ann_rescue_total").inc();
                             shards_cov.push(ShardCoverage {
                                 shard: rt.index,
-                                outcome,
+                                outcome: ShardOutcome::DegradedAnn,
                                 generation: Some(p.generation),
                                 error: Some(e.to_string()),
                             });
@@ -736,15 +688,6 @@ impl Router {
                             error: Some(e.to_string()),
                         }),
                     }
-                }
-                ShardResult::Failed(e) => {
-                    sarn_obs::counter("sarn_serve_shard_failed_total").inc();
-                    shards_cov.push(ShardCoverage {
-                        shard: rt.index,
-                        outcome: ShardOutcome::Failed,
-                        generation: rt.store.generation(),
-                        error: Some(e.to_string()),
-                    })
                 }
             }
         }
@@ -777,13 +720,11 @@ impl Router {
     }
 
     /// Builds the cloneable per-shard attempt closure: consume one
-    /// fault-injection step, run the shard leg (full scan or explicit
-    /// rows), map local ids back to global.
-    #[allow(clippy::too_many_arguments)]
+    /// fault-injection step, run the shard's k-NN leg, map local ids back
+    /// to global.
     fn make_attempt(
         &self,
         rt: &Arc<ShardRuntime>,
-        rows: Option<Arc<Vec<usize>>>,
         query: &Arc<Vec<f32>>,
         query_norm: f32,
         exclude: Option<usize>,
@@ -794,28 +735,8 @@ impl Router {
         let query = query.clone();
         Arc::new(move || {
             rt.apply_fault()?;
-            match &rows {
-                None => {
-                    let knn = rt.store.knn_vector(&query, query_norm, exclude, k, slice)?;
-                    Ok(ShardPartial {
-                        pairs: knn
-                            .neighbors
-                            .iter()
-                            .map(|&(l, s)| (rt.globals[l], s))
-                            .collect(),
-                        generation: knn.generation,
-                    })
-                }
-                Some(locals) => {
-                    let (scored, generation) = rt
-                        .store
-                        .score_vector(&query, query_norm, locals, exclude, slice)?;
-                    Ok(ShardPartial {
-                        pairs: scored.iter().map(|&(l, s)| (rt.globals[l], s)).collect(),
-                        generation,
-                    })
-                }
-            }
+            let knn = rt.store.knn_vector(&query, query_norm, exclude, k, slice)?;
+            Ok(rt.partial(knn))
         })
     }
 
@@ -838,52 +759,7 @@ impl Router {
             .store
             .knn_vector_ann(query, query_norm, exclude, k, slice)
             .ok()?;
-        Some(ShardPartial {
-            pairs: knn
-                .neighbors
-                .iter()
-                .map(|&(l, s)| (rt.globals[l], s))
-                .collect(),
-            generation: knn.generation,
-        })
-    }
-
-    /// The degraded rescue leg: score only this shard's global-grid
-    /// candidate rows (a handful instead of a scan), outside the breaker
-    /// (it already recorded the exact leg's failure) and with one slice
-    /// of whatever budget remains.
-    #[allow(clippy::too_many_arguments)]
-    fn degraded_leg(
-        &self,
-        rt: &Arc<ShardRuntime>,
-        segment: usize,
-        query: &Arc<Vec<f32>>,
-        query_norm: f32,
-        exclude: Option<usize>,
-        k: usize,
-        deadline: &Deadline,
-    ) -> Option<ShardPartial> {
-        let slice = deadline.split(1);
-        let candidates = self.sharded.approx_candidates(segment, k, slice).ok()?;
-        let locals: Vec<usize> = candidates
-            .into_iter()
-            .filter_map(|g| {
-                let (si, li) = self.sharded.locate(g).ok()?;
-                (si == rt.index).then_some(li)
-            })
-            .collect();
-        if locals.is_empty() {
-            return None;
-        }
-        rt.apply_fault().ok()?;
-        let (scored, generation) = rt
-            .store
-            .score_vector(query, query_norm, &locals, exclude, slice)
-            .ok()?;
-        Some(ShardPartial {
-            pairs: scored.iter().map(|&(l, s)| (rt.globals[l], s)).collect(),
-            generation,
-        })
+        Some(rt.partial(knn))
     }
 
     // ---- health ----------------------------------------------------------
@@ -906,7 +782,7 @@ impl Router {
         let mut shards = Vec::with_capacity(self.runtimes.len());
         let mut worst: Option<ServeState> = None;
         let (mut reloads_ok, mut reloads_failed) = (0u64, 0u64);
-        let (mut shed_total, mut degraded_total, mut served_total) = (0u64, 0u64, 0u64);
+        let (mut shed_total, mut served_total) = (0u64, 0u64);
         let mut consecutive_reload_failures = 0u32;
         let mut last_reload_error = None;
         let mut inflight = 0usize;
@@ -948,7 +824,6 @@ impl Router {
             reloads_ok += h.reloads_ok;
             reloads_failed += h.reloads_failed;
             shed_total += h.shed_total;
-            degraded_total += h.degraded_total;
             served_total += h.served_total;
             inflight += h.inflight;
             consecutive_reload_failures =
@@ -1015,7 +890,6 @@ impl Router {
             last_reload_error,
             inflight: inflight + self.inflight.load(AtomicOrdering::Acquire),
             shed_total: shed_total + self.shed.load(AtomicOrdering::Relaxed),
-            degraded_total: degraded_total + self.partial.load(AtomicOrdering::Relaxed),
             served_total: served_total.max(self.served.load(AtomicOrdering::Relaxed)),
             uptime: self.started.elapsed(),
             generation_age: oldest_age,

@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use sarn_geo::Point;
 use sarn_serve::{
-    BreakerConfig, BreakerState, Deadline, EmbeddingStore, Router, RouterConfig, ServeConfig,
-    ServeError, ServeState, ShardFault, ShardOutcome, ShardedStore,
+    BreakerConfig, BreakerState, Deadline, EmbeddingStore, IndexState, Router, RouterConfig,
+    ServeConfig, ServeError, ServeState, ShardFault, ShardOutcome, ShardedStore,
 };
 use sarn_tensor::Tensor;
 
@@ -63,15 +63,18 @@ fn router_cfg() -> RouterConfig {
 }
 
 fn router_with(cfg: RouterConfig) -> Router {
-    let sharded =
-        ShardedStore::new(midpoints(), D, serve_cfg(), SHARDS).expect("valid sharded store");
+    router_serving(serve_cfg(), cfg)
+}
+
+fn router_serving(scfg: ServeConfig, cfg: RouterConfig) -> Router {
+    let sharded = ShardedStore::new(midpoints(), D, scfg, SHARDS).expect("valid sharded store");
     assert!(sharded.num_shards() > 1, "test needs a real fan-out");
     sharded.admit(&embeddings(1.0)).expect("admission");
     Router::new(sharded, cfg)
 }
 
 fn single_store() -> EmbeddingStore {
-    let s = EmbeddingStore::new(midpoints(), D, serve_cfg()).expect("valid store");
+    let s = EmbeddingStore::new(N, D, serve_cfg()).expect("valid store");
     s.admit(embeddings(1.0)).expect("admission");
     s
 }
@@ -101,28 +104,6 @@ fn healthy_fanout_is_bitwise_identical_to_the_single_store() {
 }
 
 #[test]
-fn healthy_approx_fanout_matches_the_single_store_bitwise() {
-    let router = router_with(router_cfg());
-    let single = single_store();
-    for segment in 0..N {
-        let ours = router
-            .knn_approx(segment, 5, Deadline::unbounded())
-            .expect("routed approx");
-        let theirs = single
-            .knn_approx(segment, 5, Deadline::unbounded())
-            .expect("approx");
-        assert_eq!(ours.neighbors.len(), theirs.neighbors.len());
-        for (a, b) in ours.neighbors.iter().zip(&theirs.neighbors) {
-            assert_eq!(
-                (a.0, a.1.to_bits()),
-                (b.0, b.1.to_bits()),
-                "segment {segment}"
-            );
-        }
-    }
-}
-
-#[test]
 fn transient_shard_fault_is_retried_away() {
     let router = router_with(router_cfg());
     // One failure, one retry (shard_retries = 1): the shard still answers.
@@ -141,10 +122,36 @@ fn transient_shard_fault_is_retried_away() {
 
 #[test]
 fn exhausted_shard_degrades_to_approx_then_fails_when_sticky() {
-    let router = router_with(router_cfg());
+    // Every shard indexes its rows, so the degrade ladder's ANN rung is
+    // live once the background builds finish.
+    let scfg = ServeConfig {
+        ann_threshold: 1,
+        ..serve_cfg()
+    };
+    let router = router_serving(scfg, router_cfg());
+    let t0 = std::time::Instant::now();
+    while router
+        .sharded()
+        .shards()
+        .iter()
+        .any(|s| !matches!(s.store.index_state(), IndexState::Ready { .. }))
+    {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "indexes never built"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let victim = router.sharded().num_shards() - 1;
+    let victim_rows: std::collections::HashSet<usize> = router
+        .sharded()
+        .shard_rows(victim)
+        .iter()
+        .copied()
+        .collect();
     // Exactly enough failures to exhaust 1 + shard_retries attempts; the
-    // degraded approximate leg then finds the fault spent and succeeds.
+    // ANN rescue leg then finds the fault spent and answers from the
+    // victim's index. k = N asks every shard for all of its rows.
     router.inject_shard_fault(
         victim,
         Some(ShardFault {
@@ -152,18 +159,26 @@ fn exhausted_shard_degrades_to_approx_then_fails_when_sticky() {
             ..ShardFault::default()
         }),
     );
-    // k = N forces the grid expansion to cover the whole network, so the
-    // victim's rows are among the rescue leg's candidates.
     let out = router.knn(0, N, Deadline::unbounded()).expect("degraded");
     let cov = &out.coverage;
     assert_eq!(cov.answered, cov.total);
     assert_eq!(cov.degraded, 1, "{cov:?}");
     let line = cov.shards.iter().find(|s| s.shard == victim).expect("line");
-    assert_eq!(line.outcome, ShardOutcome::DegradedApprox);
+    assert_eq!(line.outcome, ShardOutcome::DegradedAnn);
     assert!(line
         .error
         .as_deref()
         .is_some_and(|e| e.contains("injected")));
+    let rescued = out
+        .neighbors
+        .iter()
+        .filter(|(id, _)| victim_rows.contains(id))
+        .count();
+    assert_eq!(
+        rescued,
+        victim_rows.len(),
+        "the rescue leg carried the rows"
+    );
 
     // Sticky: every attempt (including the rescue leg) fails — the shard
     // is dropped from the answer, the answer itself still succeeds.
@@ -182,13 +197,10 @@ fn exhausted_shard_degrades_to_approx_then_fails_when_sticky() {
     assert_eq!(line.outcome, ShardOutcome::Failed);
     // The missing shard's rows are exactly what distinguishes the partial
     // answer from the full one.
-    let full_rows: std::collections::HashSet<usize> = router
-        .sharded()
-        .shard_rows(victim)
+    assert!(out
+        .neighbors
         .iter()
-        .copied()
-        .collect();
-    assert!(out.neighbors.iter().all(|(id, _)| !full_rows.contains(id)));
+        .all(|(id, _)| !victim_rows.contains(id)));
     assert!(router.partial_total() >= 1);
 }
 

@@ -1,27 +1,17 @@
 //! Behavioral contract of the embedding store: validated admission,
 //! stale-generation fallback on every reload failure mode, retry against
-//! transient injected faults, deadlines, load shedding, and degradation.
+//! transient injected faults, deadlines, load shedding, and k-NN on a
+//! ready ANN index.
 
 use std::time::Duration;
 
-use sarn_geo::Point;
-use sarn_serve::{Deadline, EmbeddingStore, LoadFault, ServeConfig, ServeError, ServeState};
+use sarn_serve::{
+    Deadline, EmbeddingStore, IndexState, LoadFault, ServeConfig, ServeError, ServeState,
+};
 use sarn_tensor::{IoError, Tensor};
 
 const N: usize = 30;
 const D: usize = 4;
-
-/// Midpoints on a small lattice around Chengdu, ~200 m apart.
-fn midpoints() -> Vec<Point> {
-    (0..N)
-        .map(|i| {
-            Point::new(
-                30.64 + (i / 6) as f64 * 0.002,
-                104.04 + (i % 6) as f64 * 0.002,
-            )
-        })
-        .collect()
-}
 
 /// Deterministic embeddings whose rows differ: row `i`, component `j`
 /// holds `scale * (i + 1) + j` — distinguishable per generation and per
@@ -45,7 +35,7 @@ fn fast_cfg() -> ServeConfig {
 }
 
 fn store(cfg: ServeConfig) -> EmbeddingStore {
-    EmbeddingStore::new(midpoints(), D, cfg).expect("valid store")
+    EmbeddingStore::new(N, D, cfg).expect("valid store")
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -242,14 +232,14 @@ fn deadlines_are_typed_and_slow_io_can_be_simulated() {
 }
 
 #[test]
-fn overload_sheds_and_pressure_degrades_exact_knn() {
+fn overload_sheds_and_pressure_below_the_ceiling_keeps_scanning() {
     let cfg = ServeConfig {
         max_inflight: 4,
-        degrade_inflight: 2,
         ..fast_cfg()
     };
     let s = store(cfg);
     s.admit(embeddings(1.0)).expect("admission");
+    let unloaded = s.knn(5, 3, Deadline::unbounded()).expect("unloaded knn");
 
     // Saturate the admission budget: the next request is shed, typed.
     let tickets: Vec<_> = (0..4)
@@ -269,64 +259,57 @@ fn overload_sheds_and_pressure_degrades_exact_knn() {
     assert_eq!(s.health().shed_total, 1);
     drop(tickets);
 
-    // Between the degrade threshold and the ceiling, exact k-NN answers
-    // via the approximate path and says so.
+    // One slot below the ceiling, k-NN is still the full scan.
     let pressure: Vec<_> = (0..3)
         .map(|i| {
             s.try_ticket()
                 .unwrap_or_else(|e| panic!("pressure ticket {i}: {e}"))
         })
         .collect();
-    let degraded = s.knn(5, 3, Deadline::unbounded()).expect("degraded knn");
-    assert!(degraded.degraded);
-    let reference = s
-        .knn_approx(5, 3, Deadline::unbounded())
-        .expect("approx reference");
-    assert_eq!(degraded.neighbors, reference.neighbors);
+    let pressured = s.knn(5, 3, Deadline::unbounded()).expect("pressured knn");
+    assert_eq!(pressured, unloaded);
     drop(pressure);
-
-    // Unloaded, the same query is exact again.
-    let exact = s.knn(5, 3, Deadline::unbounded()).expect("exact knn");
-    assert!(!exact.degraded);
-    assert_eq!(s.health().degraded_total, 1);
     assert!(s.health().inflight == 0, "tickets all released");
 }
 
+/// `k` past the row count is clamped on both paths: a ready index
+/// answers `usize::MAX` with every other row, exactly as the scan does,
+/// instead of overflowing `k + 1`.
 #[test]
-fn approx_equals_exact_when_the_neighborhood_covers_the_network() {
-    // With 10 km cells the whole lattice shares one cell, so the
-    // approximate candidate set is the full network and the two paths
-    // must agree exactly.
-    let cfg = ServeConfig {
-        grid_clen_m: 10_000.0,
+fn knn_with_k_past_the_row_count_matches_the_scan_on_a_ready_index() {
+    let indexed = store(ServeConfig {
+        ann_threshold: 1,
         ..fast_cfg()
-    };
-    let s = store(cfg);
-    s.admit(embeddings(1.0)).expect("admission");
-    for seg in [0, 7, N - 1] {
-        let exact = s.knn(seg, 6, Deadline::unbounded()).expect("exact");
-        let approx = s.knn_approx(seg, 6, Deadline::unbounded()).expect("approx");
-        assert_eq!(exact.neighbors, approx.neighbors, "segment {seg}");
-        assert_eq!(exact.generation, approx.generation);
+    });
+    indexed.admit(embeddings(1.0)).expect("admission");
+    let t0 = std::time::Instant::now();
+    while !matches!(indexed.index_state(), IndexState::Ready { .. }) {
+        assert!(t0.elapsed() < Duration::from_secs(30), "index never built");
+        std::thread::sleep(Duration::from_millis(1));
     }
-}
-
-#[test]
-fn approx_radius_expands_until_enough_candidates_exist() {
-    // 200 m cells over a ~1 km lattice: each cell holds few segments, so
-    // a k larger than the local bucket forces radius expansion — the
-    // answer must still produce k neighbors.
-    let cfg = ServeConfig {
-        grid_clen_m: 200.0,
-        approx_radius: 1,
-        ..fast_cfg()
-    };
-    let s = store(cfg);
-    s.admit(embeddings(1.0)).expect("admission");
-    let got = s
-        .knn_approx(0, N - 1, Deadline::unbounded())
-        .expect("expanding approx");
-    assert_eq!(got.neighbors.len(), N - 1);
+    let scan = store(fast_cfg());
+    scan.admit(embeddings(1.0)).expect("admission");
+    let gen = scan.snapshot().expect("live generation");
+    for seg in [0, 7, N - 1] {
+        let want = scan
+            .knn(seg, usize::MAX, Deadline::unbounded())
+            .expect("scan");
+        assert!(!want.ann);
+        assert_eq!(want.neighbors.len(), N - 1);
+        let got = indexed
+            .knn(seg, usize::MAX, Deadline::unbounded())
+            .expect("ann knn");
+        assert!(got.ann, "segment {seg}: the ready index answers");
+        assert_eq!(got.neighbors, want.neighbors, "segment {seg}");
+        // The fan-out leg, which searches one row more to drop `exclude`.
+        let row = gen.embeddings().row_slice(seg);
+        let norm = gen.row_norm(seg);
+        let leg = indexed
+            .knn_vector(row, norm, Some(seg), usize::MAX, Deadline::unbounded())
+            .expect("ann leg");
+        assert!(leg.ann);
+        assert_eq!(leg.neighbors, want.neighbors, "segment {seg}: vector leg");
+    }
 }
 
 #[test]

@@ -89,8 +89,7 @@ step "scale smoke at SARN_NET_SCALE=2.0 (release, --ignored)"
 cargo test -q --release -p sarn-sys-tests --test scale_smoke -- --ignored
 
 # Kernel benchmark: A^s build time + peak RSS in both join modes, epoch
-# time in both reduction modes, and serve-side exact/approx k-NN
-# latency, written to the committed BENCH_7.json (SARN_REPORT_JSONL
+# time in both reduction modes, and serve-side k-NN latency, written to the committed BENCH_7.json (SARN_REPORT_JSONL
 # appends, so start from a clean file). A second join-only invocation at
 # scale 2.0 records the O(n²) → near-linear crossover row.
 step "kernel benchmark (BENCH_7.json)"
@@ -119,7 +118,8 @@ SARN_NET_SCALE=0.22 SARN_EPOCHS=4 SARN_TRAJ_COUNT=30 \
 
 # Serving smoke: corrupt artifact swaps and injected I/O faults must fall
 # back to the last-known-good generation with typed errors; an overload
-# burst must shed and degrade; exits non-zero on any breach or panic.
+# burst must shed, and k-NN must answer as before once it drains; exits
+# non-zero on any breach or panic.
 step "serve fault-injection smoke"
 SARN_NET_SCALE=0.22 SARN_EPOCHS=2 \
   cargo run -q --release -p sarn-bench --bin serve_smoke
